@@ -21,34 +21,27 @@
 //!    `Maui` and a rebuild-every-iteration `Maui`. Decisions are asserted
 //!    identical tick by tick — with the rebuild-equivalence guard enabled
 //!    on the correctness pass — before either path is timed.
-//! 4. **Sharded kernel** — the same tick sequence through the
-//!    partitioned-timeline scheduler at shard counts {1, 2, 4, 8}:
-//!    per-tick decisions asserted byte-identical to the serial path at
-//!    every count (with the threaded rounds pinned on), then each count
-//!    timed with auto worker selection. The ≥2× bar at 4 shards is
-//!    enforced only on hosts with ≥4 cores — skipped (and recorded as
-//!    skipped), never faked, elsewhere.
-//! 5. **Table II end-to-end** — the paper configurations (Static, Dyn-HP,
+//! 4. **Table II end-to-end** — the paper configurations (Static, Dyn-HP,
 //!    Dyn-500, Dyn-100) over the ESP workload, wall clock plus
 //!    per-iteration stats.
-//! 6. **Journal overhead** — the Dyn-HP ESP run with the write-ahead
+//! 5. **Journal overhead** — the Dyn-HP ESP run with the write-ahead
 //!    state journal disabled vs enabled, append cost charged per
 //!    scheduled job, with a ≤10 % regression sanity bound (durability
 //!    must stay in the noise).
-//! 7. **Command reactor** — sustained submissions/sec through the
+//! 6. **Command reactor** — sustained submissions/sec through the
 //!    `server::reactor` front-end: N client threads race `qsub` lines
 //!    into the reactor while the host drains admission batches into a
 //!    journaled `PbsServer`, with group-commit acks vs per-command acks.
 //!    Every command's journal record is appended before its reply either
 //!    way (ack-on-append); the contrast isolates the ack-batching cost.
-//! 8. **Sweep engine** — a `(config × seed)` ESP campaign run serially
+//! 7. **Sweep engine** — a `(config × seed)` ESP campaign run serially
 //!    (fresh simulator per run) and on the parallel sweep engine at two
 //!    different worker counts, per-seed `RunSummary`s asserted identical
 //!    across all three. Written to `BENCH_sweep.json`, with requested
 //!    (null when auto-derived) and effective worker counts recorded
 //!    separately so emitted content stays comparable across hosts.
 //!
-//! 9. **Streaming ingestion** — a month-scale synthetic SWF trace is
+//! 8. **Streaming ingestion** — a month-scale synthetic SWF trace is
 //!    written to disk once, then replayed twice under a counting global
 //!    allocator: streamed (`SwfSource` over a `BufRead`, lazy admission
 //!    through a bounded lookahead window, O(trace) side buffers off) and
@@ -803,75 +796,6 @@ fn main() {
          ({maintenance_speedup:.1}x); iterate {it_reb_ms:.2} -> {it_inc_ms:.2} ms"
     );
 
-    // 3b. Sharded scheduler: the same delta-carrying tick sequence
-    // through the partitioned-timeline planner at shard counts
-    // {1, 2, 4, 8}. Correctness first: every shard count must reproduce
-    // the serial decisions byte for byte, with the threaded rounds forced
-    // on (two pinned workers) so even a single-core CI host exercises the
-    // speculative evaluate/commit path. Timing second: the worker count
-    // is left on auto (host parallelism), the honest deployment setting.
-    // Quick mode inherits the shrunken (nodes, jobs, ticks) above.
-    eprintln!("perf_smoke: sharded kernel (shards 1/2/4/8, {ticks} ticks)");
-    let run_shards = |shards: usize, workers: usize| {
-        let mut shard_cfg = cfg.clone();
-        shard_cfg.shards = shards;
-        let mut m = Maui::new(shard_cfg);
-        m.set_shard_workers(workers);
-        let mut outs = Vec::with_capacity(seq_snaps.len());
-        for s in &seq_snaps {
-            outs.push(m.iterate(s));
-        }
-        outs
-    };
-    let serial_outs = run_shards(1, 1);
-    for shards in [2usize, 4, 8] {
-        let outs = run_shards(shards, 2);
-        for (i, (a, b)) in serial_outs.iter().zip(&outs).enumerate() {
-            assert_eq!(
-                a.starts, b.starts,
-                "shards={shards} tick {i}: starts diverged"
-            );
-            assert_eq!(
-                a.dyn_decisions, b.dyn_decisions,
-                "shards={shards} tick {i}: dynamic decisions diverged"
-            );
-            assert_eq!(
-                a.reservations, b.reservations,
-                "shards={shards} tick {i}: reservations diverged"
-            );
-            assert_eq!(a.grows, b.grows, "shards={shards} tick {i}: grows diverged");
-        }
-    }
-    let mut shard_rows = Vec::new();
-    let mut serial_shard_ms = f64::NAN;
-    let mut sharded_speedup_4 = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let (ms, outs) = time_ms(it_reps, || run_shards(shards, 0));
-        black_box(outs.len());
-        if shards == 1 {
-            serial_shard_ms = ms;
-        }
-        let speedup = serial_shard_ms / ms;
-        if shards == 4 {
-            sharded_speedup_4 = speedup;
-        }
-        eprintln!("  shards {shards}  {ms:.2} ms  ({speedup:.2}x vs serial)");
-        shard_rows.push(Json::obj(vec![
-            ("shards", Json::UInt(shards as u64)),
-            ("wall_ms", Json::Float(ms)),
-            ("speedup_vs_serial", Json::Float(speedup)),
-        ]));
-    }
-    let cores = worker_count(0);
-    // The ≥2x bar only applies where there are cores to scale onto and at
-    // the full workload size; the byte-equality asserts above always run.
-    let shard_gate_enforced = !quick && cores >= 4;
-    let shard_gate = if shard_gate_enforced {
-        "enforced".to_owned()
-    } else {
-        format!("skipped ({cores} cores, quick={quick})")
-    };
-
     // 4. Table II end-to-end sweep. Quick mode keeps the two extreme
     // columns (Static, Dyn-HP) rather than all four.
     let esp_seed = 2014;
@@ -1006,6 +930,7 @@ fn main() {
         "streaming must not perturb the leader (replication-off byte-identity)"
     );
     let repl_overhead_pct = (repl_ms - journal_ms) / journal_ms * 100.0;
+    let cores = worker_count(0);
     let repl_parallel = cores > repl_followers as usize;
     let repl_gate = if repl_parallel {
         "parallel"
@@ -1346,19 +1271,6 @@ fn main() {
                 ("identical_decisions", Json::Bool(true)),
             ]),
         ),
-        (
-            "sharded_kernel",
-            Json::obj(vec![
-                ("nodes", Json::UInt(nodes as u64)),
-                ("jobs", Json::UInt(jobs as u64)),
-                ("ticks", Json::UInt(ticks as u64)),
-                ("available_parallelism", Json::UInt(cores as u64)),
-                ("identical_decisions", Json::Bool(true)),
-                ("per_shard_count", Json::Arr(shard_rows)),
-                ("speedup_at_4_shards", Json::Float(sharded_speedup_4)),
-                ("gate_2x_at_4_shards", Json::Str(shard_gate.clone())),
-            ]),
-        ),
         ("esp_table2", Json::Arr(esp)),
         (
             "reactor",
@@ -1591,14 +1503,6 @@ fn main() {
             );
         }
     }
-    if shard_gate_enforced {
-        assert!(
-            sharded_speedup_4 >= 2.0,
-            "sharded iterate speedup at 4 shards regressed below 2x on a \
-             {cores}-core host: {sharded_speedup_4:.2}x"
-        );
-    }
     println!("kernel_speedup_x {kernel_speedup:.2}");
-    println!("sharded_speedup_4x {sharded_speedup_4:.2}");
     println!("sweep_speedup_x {best_speedup:.2}");
 }

@@ -28,9 +28,8 @@ cargo test -q --test sweep_engine
 echo "==> incremental timeline equivalence (delta path == rebuild path)"
 cargo test -q --test timeline_incremental
 
-echo "==> sharded-scheduler equivalence (partitioned path == serial path)"
-cargo test -q --test sharded_equivalence
-cargo test -q -p dynbatch-sched --test prop_router
+echo "==> cross-commit decision pins (ESP decisions == recorded digests)"
+cargo test -q --test decision_pins
 
 echo "==> reactor smoke (serial apply vs reactor-batched apply, identical digest)"
 cargo test -q --test reactor_equivalence reactor_equivalence_at_1_8_64_clients
@@ -50,7 +49,7 @@ cargo test -q --test replication_failover
 cargo test -q -p dynbatch-server replication
 cargo test -q -p dynbatch-sim replica
 
-echo "==> time-aware fairness suite (static inertness, shard/worker"
+echo "==> time-aware fairness suite (static inertness, sweep-worker"
 echo "    determinism, demote-not-deny budgets)"
 cargo test -q --test fairness
 cargo test -q -p dynbatch-sched --lib usage_history
@@ -58,18 +57,9 @@ cargo test -q -p dynbatch-sched --lib fairshare
 cargo test -q -p dynbatch-sched --lib dfs
 
 echo "==> perf_smoke --quick (runs the incremental path with the"
-echo "    rebuild-equivalence assert enabled on every tick, and the"
-echo "    sharded kernel with byte-equality asserted at shards 2/4/8)"
+echo "    rebuild-equivalence assert enabled on every tick)"
 cargo run --release -q -p dynbatch-bench --bin perf_smoke -- --quick \
   --out /tmp/BENCH_sched.quick.json --out-sweep /tmp/BENCH_sweep.quick.json
-
-echo "==> sharded-equivalence smoke (quick kernel, shards 1 and 3)"
-cargo test -q --release -p dynbatch-sched shard_smoke_serial_matches_three_shards
-
-echo "==> committed BENCH_sched.json must carry the sharded_kernel section"
-grep -q '"sharded_kernel"' BENCH_sched.json \
-  || { echo "BENCH_sched.json lacks the sharded_kernel section — regenerate \
-with: cargo run --release -p dynbatch-bench --bin perf_smoke"; exit 1; }
 
 echo "==> committed BENCH_sched.json must carry the reactor section"
 grep -q '"reactor"' BENCH_sched.json \

@@ -28,7 +28,11 @@ fn run_esp(
     let mut reg = CredRegistry::new();
     let mut wl_cfg = EspConfig::paper_dynamic();
     wl_cfg.seed = seed;
-    let wl = generate_esp(&wl_cfg, &mut reg);
+    let mut wl = generate_esp(&wl_cfg, &mut reg);
+    if cfg.dyn_partition_cores > 0 {
+        // Full-machine jobs could never start beside the partition.
+        wl.retain(|item| item.spec.cores < 120);
+    }
     let mut sim = BatchSim::new(Cluster::homogeneous(15, 8), cfg);
     sim.maui_mut().set_plan_cache_enabled(cache);
     sim.load(&wl);
@@ -78,15 +82,24 @@ fn cached_and_uncached_runs_are_byte_identical() {
 fn preemption_and_shrink_paths_are_cache_invariant() {
     // The grant path that preempts backfilled jobs or shrinks malleable
     // ones mutates the base profile too — the cache must be invalidated
-    // there exactly as in the plain-grant path.
-    let mut cfg = SchedulerConfig::paper_eval();
-    cfg.dfs = DfsConfig::highest_priority();
-    cfg.preempt_backfilled_for_dyn = true;
-    cfg.shrink_malleable_for_dyn = true;
-    cfg.grow_malleable_on_idle = true;
-    let (log_c, out_c, end_c) = run_esp(cfg.clone(), true, 7);
-    let (log_u, out_u, end_u) = run_esp(cfg, false, 7);
-    assert_eq!(log_c, log_u);
-    assert_eq!(out_c, out_u);
-    assert_eq!(end_c, end_u);
+    // there exactly as in the plain-grant path. With a dynamic partition,
+    // a grant that over-frees cores also re-grows the partition, which
+    // must leave the cache cold.
+    for partition in [0u32, 16] {
+        let mut cfg = SchedulerConfig::paper_eval();
+        cfg.dfs = DfsConfig::highest_priority();
+        cfg.preempt_backfilled_for_dyn = true;
+        cfg.shrink_malleable_for_dyn = true;
+        cfg.grow_malleable_on_idle = true;
+        cfg.dyn_partition_cores = partition;
+        let (log_c, out_c, end_c) = run_esp(cfg.clone(), true, 7);
+        let (log_u, out_u, end_u) = run_esp(cfg, false, 7);
+        assert!(
+            log_c.iter().any(|(_, d)| d.is_granted()),
+            "partition {partition}: no grants — the comparison would be vacuous"
+        );
+        assert_eq!(log_c, log_u, "partition {partition}");
+        assert_eq!(out_c, out_u, "partition {partition}");
+        assert_eq!(end_c, end_u, "partition {partition}");
+    }
 }
